@@ -488,9 +488,9 @@ func BenchmarkSessionThroughput(b *testing.B) {
 
 // BenchmarkMarketThroughput measures aggregate marketplace rounds/s as a
 // function of the concurrent-auction count: M independent double auctions
-// multiplexed over one shared attachment per node (3 provider markets, 10
-// bidders joined to every auction) under the community-network latency
-// model. A single auction is latency-bound — its sequential protocol hops
+// on a 1-shard federation — one 3-provider committee, every auction
+// multiplexed over one shared attachment per node, 10 bidders joined to
+// every auction — under the community-network latency model. A single auction is latency-bound — its sequential protocol hops
 // leave the host mostly idle — so the aggregate rate should grow with M
 // until the CPU saturates: that scaling is the marketplace layer's reason
 // to exist. The residual-state check guards per-round reclamation across
@@ -513,7 +513,7 @@ func BenchmarkMarketThroughput(b *testing.B) {
 			var frames, envs int64
 			var latency metrics.HistogramSnapshot
 			for i := 0; i < b.N; i++ {
-				res, err := harness.RunMarketDouble(auctions, rounds,
+				res, err := harness.RunFederationDouble(1, auctions, rounds,
 					harness.WithProviders(3), harness.WithUsers(10), harness.WithK(1),
 					harness.WithSeed(uint64(i+1)), harness.WithLatency(lat),
 					harness.WithBidWindow(10*time.Second),
@@ -571,7 +571,7 @@ func BenchmarkMarketThroughputResilient(b *testing.B) {
 		var latency metrics.HistogramSnapshot
 		for i := 0; i < b.N; i++ {
 			var rn *transport.ResilientNetwork
-			res, err := harness.RunMarketDouble(auctions, rounds,
+			res, err := harness.RunFederationDouble(1, auctions, rounds,
 				harness.WithProviders(3), harness.WithUsers(10), harness.WithK(1),
 				harness.WithSeed(uint64(i+1)), harness.WithLatency(lat),
 				harness.WithBidWindow(10*time.Second),
@@ -617,10 +617,9 @@ func BenchmarkMarketThroughputResilient(b *testing.B) {
 // federation as a function of the shard count: 64 double auctions
 // partitioned over S committees of 3 providers each (disjoint fleets, 10
 // bidders joined to every auction through one federated attachment each)
-// under the community-network latency model. The 1-shard point deploys the
-// identical topology as BenchmarkMarketThroughput's 64-auction case — the
-// unsharded baseline — so the shards axis isolates what partitioning the
-// catalog buys. On a single-core host protocol CPU does not shrink with
+// under the community-network latency model. The 1-shard point is
+// BenchmarkMarketThroughput's 64-auction case — the unsharded baseline —
+// so the shards axis isolates what partitioning the catalog buys. On a single-core host protocol CPU does not shrink with
 // sharding, so this curve mostly reflects past-saturation congestion
 // relief; see EXPERIMENTS.md for the multicore argument.
 func BenchmarkFederationThroughput(b *testing.B) {
@@ -704,7 +703,7 @@ func steadyStateAllocs(b *testing.B) {
 		gBefore := runtime.NumGoroutine()
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := harness.RunMarketDouble(auctions, rounds,
+		res, err := harness.RunFederationDouble(1, auctions, rounds,
 			harness.WithProviders(3), harness.WithUsers(10), harness.WithK(1),
 			harness.WithSeed(uint64(i+1)),
 			harness.WithBidWindow(10*time.Second),

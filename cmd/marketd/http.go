@@ -23,8 +23,9 @@ import (
 	"distauction/internal/transport"
 )
 
-// exporter adapts whichever deployment is running — one market or a
-// federation — to the export handlers. Exactly one source is non-nil.
+// exporter adapts whichever deployment is running — a TCP provider's own
+// market or the hub demo's federation — to the export handlers. Exactly
+// one source is non-nil.
 type exporter struct {
 	market func() market.Snapshot
 	fed    func() federation.Snapshot
@@ -75,14 +76,10 @@ func writeMetrics(w io.Writer, ex exporter) {
 		writeCounter(w, "distauction_frames_sent_total", "Outbound frames shipped by the coalescer.", snap.FramesSent)
 		writeCounter(w, "distauction_envelopes_sent_total", "Envelopes those frames carried.", snap.EnvelopesSent)
 		writeLink(w, snap.Link)
-		writePeerHealth(w, snap.PeerHealth)
+		writePeerHealthHeader(w)
+		writePeerHealth(w, "", snap.PeerHealth)
 		writeAbortCodes(w, "", snap.AbortCodes)
-		fmt.Fprintln(w, "# HELP distauction_outcome_latency_seconds Outcome latency, bid collection through delivery.")
-		fmt.Fprintln(w, "# TYPE distauction_outcome_latency_seconds summary")
-		writeSummary(w, "distauction_outcome_latency_seconds", `auction="_all"`, snap.Latency)
-		for _, as := range snap.Auctions {
-			writeSummary(w, "distauction_outcome_latency_seconds", fmt.Sprintf("auction=%q", as.Name), as.Latency)
-		}
+		writeOutcomeLatency(w, snap.Latency, snap.Auctions)
 		writeRuntime(w, snap.Runtime)
 	}
 	if ex.fed != nil {
@@ -92,11 +89,23 @@ func writeMetrics(w io.Writer, ex exporter) {
 		writeCounter(w, "distauction_rounds_aborted_total", "Bottom rounds.", snap.Aborted)
 		writeCounter(w, "distauction_bids_admitted_total", "Bids admitted by the gates.", snap.BidsAdmitted)
 		writeCounter(w, "distauction_bids_dropped_total", "Bids dropped at the gates.", snap.BidsDropped)
+		var frames, envelopes int64
+		for _, ns := range snap.PerNode {
+			frames += ns.FramesSent
+			envelopes += ns.EnvelopesSent
+		}
+		writeCounter(w, "distauction_frames_sent_total", "Outbound frames shipped by the coalescers.", frames)
+		writeCounter(w, "distauction_envelopes_sent_total", "Envelopes those frames carried.", envelopes)
 		writeCounter(w, "distauction_settle_commits_total", "Cross-shard rounds settled atomically.", snap.SettleCommits)
 		writeCounter(w, "distauction_settle_aborts_total", "Cross-shard rounds aborted and released.", snap.SettleAborts)
 		writeLink(w, snap.Link)
 		writeGauge(w, "distauction_peers_dead", "Peers some attachment currently judges dead.", int64(snap.DeadPeers))
+		writePeerHealthHeader(w)
+		for _, ns := range snap.PerNode {
+			writePeerHealth(w, fmt.Sprintf(`node="%d",`, ns.Node), ns.PeerHealth)
+		}
 		writeAbortCodes(w, "", snap.AbortCodes)
+		writeOutcomeLatency(w, snap.Latency, snap.PerAuction)
 		fmt.Fprintln(w, "# HELP distauction_shard_outcome_latency_seconds Per-shard outcome latency.")
 		fmt.Fprintln(w, "# TYPE distauction_shard_outcome_latency_seconds summary")
 		writeSummary(w, "distauction_shard_outcome_latency_seconds", `shard="_all"`, snap.Latency)
@@ -143,13 +152,28 @@ func writeLink(w io.Writer, ls transport.LinkStats) {
 	writeCounter(w, "distauction_link_overflow_total", "Unacked frames evicted by a full resend buffer.", ls.Overflow)
 }
 
-// writePeerHealth emits one gauge sample per peer the failure detector
-// tracks, labelled by its current verdict.
-func writePeerHealth(w io.Writer, peers []transport.PeerHealth) {
+func writePeerHealthHeader(w io.Writer) {
 	fmt.Fprintln(w, "# HELP distauction_peer_health Failure-detector verdict per peer (1 = the labelled state).")
 	fmt.Fprintln(w, "# TYPE distauction_peer_health gauge")
+}
+
+// writePeerHealth emits one gauge sample per peer an attachment's failure
+// detector tracks, labelled by its current verdict; node, if non-empty, is
+// a `node="…",` label prefix naming the attachment.
+func writePeerHealth(w io.Writer, node string, peers []transport.PeerHealth) {
 	for _, ph := range peers {
-		fmt.Fprintf(w, "distauction_peer_health{peer=\"%d\",state=%q} 1\n", ph.Peer, ph.State.String())
+		fmt.Fprintf(w, "distauction_peer_health{%speer=\"%d\",state=%q} 1\n", node, ph.Peer, ph.State.String())
+	}
+}
+
+// writeOutcomeLatency emits the outcome-latency summary family: the
+// all-auctions merge plus one summary per auction.
+func writeOutcomeLatency(w io.Writer, all metrics.HistogramSnapshot, auctions []market.AuctionSnapshot) {
+	fmt.Fprintln(w, "# HELP distauction_outcome_latency_seconds Outcome latency, bid collection through delivery.")
+	fmt.Fprintln(w, "# TYPE distauction_outcome_latency_seconds summary")
+	writeSummary(w, "distauction_outcome_latency_seconds", `auction="_all"`, all)
+	for _, as := range auctions {
+		writeSummary(w, "distauction_outcome_latency_seconds", fmt.Sprintf("auction=%q", as.Name), as.Latency)
 	}
 }
 

@@ -3,13 +3,16 @@
 //
 // Two modes:
 //
-//   - Hub demo (-hub): a self-contained in-process marketplace — m
-//     provider markets, the named auctions, n bidders joined to every
-//     auction — runs -rounds rounds per auction over the in-memory Hub,
-//     prints the aggregate market statistics and exits. This is the
-//     quickest way to see the layer work (and what CI smoke-tests):
+//   - Hub demo (-hub): a self-contained in-process marketplace — a
+//     federation of -shards committees of m providers (one committee by
+//     default: the unsharded market), the named auctions, n bidders joined
+//     to every auction — runs -rounds rounds per auction over the
+//     in-memory Hub, prints the per-auction and per-shard statistics and
+//     exits. This is the quickest way to see the layer work (and what CI
+//     smoke-tests):
 //
 //     marketd -hub -auctions alpha,beta -rounds 3
+//     marketd -hub -shards 2 -auctions alpha,beta,gamma -rounds 3
 //
 //   - TCP daemon (default): one provider's Market over real sockets, the
 //     marketplace sibling of gatewayd. All providers run it with the same
@@ -21,8 +24,9 @@
 //     -users '100,101' -k 1 -auctions alpha,beta \
 //     -cost 1.5 -capacity 10 -rounds 10 -secret communitynet
 //
-// Auctions are comma-separated names, each optionally pinning a wire lane
-// as name:lane (lanes otherwise derive deterministically from the name).
+// Auctions are comma-separated names, each optionally pinning a lane as
+// name:lane (lanes otherwise derive deterministically from the name). In
+// hub mode the lane is shard-local, at most 255.
 package main
 
 import (
@@ -63,7 +67,7 @@ func main() {
 	roundTimeout := flag.Duration("round-timeout", 2*time.Minute, "per-round deadline")
 
 	// Hub demo knobs.
-	m := flag.Int("m", 3, "hub mode: number of providers (per shard when -shards > 1)")
+	m := flag.Int("m", 3, "hub mode: number of providers per shard committee")
 	n := flag.Int("n", 4, "hub mode: number of bidders (joined to every auction)")
 	seed := flag.Uint64("seed", 1, "hub mode: workload seed")
 	shards := flag.Int("shards", 1, "hub mode: partition the catalog over this many provider committees")
@@ -100,10 +104,8 @@ func main() {
 	if err == nil {
 		if plan != nil && !*hubMode {
 			err = fmt.Errorf("-chaos requires -hub (TCP deployments get real faults for free)")
-		} else if *hubMode && *shards > 1 {
-			err = runHubFederated(specs, *shards, *m, *n, *k, *pipeline, *rounds, *seed, *bidWindow, *roundTimeout, *metricsAddr, plan)
 		} else if *hubMode {
-			err = runHub(specs, *m, *n, *k, *pipeline, *rounds, *seed, *bidWindow, *roundTimeout, *metricsAddr, plan)
+			err = runDemo(specs, *shards, *m, *n, *k, *pipeline, *rounds, *seed, *bidWindow, *roundTimeout, *metricsAddr, plan)
 		} else {
 			err = runTCP(specs, uint32(*id), *listen, *providersFlag, *usersFlag, *k, *pipeline,
 				*rounds, *cost, *capacity, *bidWindow, *roundTimeout, *secret, *metricsAddr)
@@ -183,14 +185,15 @@ func parseAuctions(s string) ([]namedLane, error) {
 	return specs, nil
 }
 
-func sessionOpts(k, pipeline int, rounds uint64, bidWindow, roundTimeout time.Duration, bid auction.ProviderBid) []core.SessionOption {
+// sessionOpts are the provider-side session options every auction of a
+// run shares; each provider adds its own core.WithProviderBid.
+func sessionOpts(k, pipeline int, rounds uint64, bidWindow, roundTimeout time.Duration) []core.SessionOption {
 	opts := []core.SessionOption{
 		core.WithK(k),
 		core.WithMechanismName("double"),
 		core.WithBidWindow(bidWindow),
 		core.WithRoundTimeout(roundTimeout),
 		core.WithMaxConcurrentRounds(pipeline),
-		core.WithProviderBid(bid),
 	}
 	if rounds > 0 {
 		opts = append(opts, core.WithRoundLimit(rounds), core.WithOutcomeBuffer(int(min(rounds, 1024))))
@@ -237,138 +240,12 @@ func (p *chaosPlan) wrap(hub *transport.Hub, seed uint64, victims []wire.NodeID)
 	return net, stop
 }
 
-// runHub is the self-contained demo: everything in one process over the
-// in-memory Hub with the community-network latency model.
-func runHub(specs []namedLane, m, n, k, pipeline int, rounds, seed uint64,
-	bidWindow, roundTimeout time.Duration, metricsAddr string, chaos *chaosPlan) error {
-	if rounds == 0 {
-		return fmt.Errorf("hub mode needs -rounds > 0")
-	}
-	hub := transport.NewHub(transport.CommunityNetModel(), int64(seed))
-
-	providerIDs := make([]wire.NodeID, m)
-	for i := range providerIDs {
-		providerIDs[i] = wire.NodeID(i + 1)
-	}
-	userIDs := make([]wire.NodeID, n)
-	for i := range userIDs {
-		userIDs[i] = wire.NodeID(1001 + i)
-	}
-	insts := make([]workload.DoubleAuctionInstance, len(specs))
-	for j := range specs {
-		insts[j] = workload.NewDoubleAuction(seed+uint64(j)*104729, n, m)
-	}
-
-	var net transport.Network = hub
-	if chaos != nil {
-		wrapped, stop := chaos.wrap(hub, seed, append(append([]wire.NodeID{}, providerIDs...), userIDs...))
-		defer stop()
-		net = wrapped
-	}
-	defer net.Close()
-
-	// The demo bidders submit every round's bid up front, so the admission
-	// window must span the whole run or the tail rounds degrade to neutral
-	// bids (a paced client would track the outcome stream instead).
-	window := int(min(rounds+uint64(pipeline)+2, 1<<20))
-	markets := make([]*market.Market, m)
-	for i, pid := range providerIDs {
-		conn, err := net.Attach(pid)
-		if err != nil {
-			return err
-		}
-		mk, err := market.Open(conn, providerIDs, market.WithAdmissionWindow(window))
-		if err != nil {
-			return err
-		}
-		defer mk.Close()
-		markets[i] = mk
-		for j, nl := range specs {
-			_, err := mk.OpenAuction(market.AuctionSpec{
-				Name:    nl.name,
-				Lane:    nl.lane,
-				Users:   userIDs,
-				Options: sessionOpts(k, pipeline, rounds, bidWindow, roundTimeout, insts[j].Providers[i]),
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	fmt.Printf("marketd: hub demo — %d auctions × %d providers × %d bidders, %d rounds each\n",
-		len(specs), m, n, rounds)
-	if metricsAddr != "" {
-		stop, err := startExporter(metricsAddr, exporter{market: markets[0].Stats})
-		if err != nil {
-			return err
-		}
-		defer stop()
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, n*len(specs))
-	for i, uid := range userIDs {
-		conn, err := net.Attach(uid)
-		if err != nil {
-			return err
-		}
-		mb, err := market.NewBidder(conn, providerIDs)
-		if err != nil {
-			return err
-		}
-		defer mb.Close()
-		for j, nl := range specs {
-			s, err := mb.JoinLane(nl.name, laneOf(nl),
-				core.WithRoundLimit(rounds),
-				core.WithRoundTimeout(roundTimeout))
-			if err != nil {
-				return err
-			}
-			wg.Add(1)
-			go func(i, j int, name string, s *core.BidderSession) {
-				defer wg.Done()
-				for r := uint64(1); r <= rounds; r++ {
-					if err := s.Submit(r, insts[j].Users[i]); err != nil {
-						errCh <- fmt.Errorf("%s: submit: %w", name, err)
-						return
-					}
-				}
-				seen := uint64(0)
-				for out := range s.Outcomes() {
-					seen++
-					if out.Err != nil {
-						errCh <- fmt.Errorf("%s round %d: %w", name, out.Round, out.Err)
-						return
-					}
-				}
-				if seen != rounds {
-					errCh <- fmt.Errorf("%s: saw %d of %d rounds", name, seen, rounds)
-				}
-			}(i, j, nl.name, s)
-		}
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return err
-	}
-
-	// Wait for the provider-side consumers, then print the market table.
-	want := int64(len(specs)) * int64(rounds)
-	deadline := time.Now().Add(roundTimeout)
-	for markets[0].Stats().Rounds < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	printStats(markets[0].Stats())
-	printFlightDumps()
-	holdForScrape(metricsAddr)
-	return nil
-}
-
-// runHubFederated is the sharded demo: the same catalog partitioned over
-// `shards` disjoint provider committees of m nodes each behind one
-// federated façade, bidders joined through one attachment apiece.
-func runHubFederated(specs []namedLane, shards, m, n, k, pipeline int, rounds, seed uint64,
+// runDemo is the self-contained hub demo over the in-memory Hub with the
+// community-network latency model: the catalog partitioned over `shards`
+// disjoint provider committees of m nodes each behind one federated
+// façade (one shard is the unsharded market), bidders joined through one
+// attachment apiece.
+func runDemo(specs []namedLane, shards, m, n, k, pipeline int, rounds, seed uint64,
 	bidWindow, roundTimeout time.Duration, metricsAddr string, chaos *chaosPlan) error {
 	if rounds == 0 {
 		return fmt.Errorf("hub mode needs -rounds > 0")
@@ -401,6 +278,9 @@ func runHubFederated(specs []namedLane, shards, m, n, k, pipeline int, rounds, s
 	}
 	defer net.Close()
 
+	// The demo bidders submit every round's bid up front, so the admission
+	// window must span the whole run or the tail rounds degrade to neutral
+	// bids (a paced client would track the outcome stream instead).
 	window := int(min(rounds+uint64(pipeline)+2, 1<<20))
 	fed, err := federation.Open(net, fedSpecs,
 		federation.WithMarketOptions(market.WithAdmissionWindow(window)))
@@ -420,15 +300,7 @@ func runHubFederated(specs []namedLane, shards, m, n, k, pipeline int, rounds, s
 			Name:      nl.name,
 			LocalLane: nl.lane, // 0 derives; placement is routed
 			Users:     userIDs,
-			Options: []core.SessionOption{
-				core.WithK(k),
-				core.WithMechanismName("double"),
-				core.WithBidWindow(bidWindow),
-				core.WithRoundTimeout(roundTimeout),
-				core.WithMaxConcurrentRounds(pipeline),
-				core.WithRoundLimit(rounds),
-				core.WithOutcomeBuffer(int(min(rounds, 1024))),
-			},
+			Options:   sessionOpts(k, pipeline, rounds, bidWindow, roundTimeout),
 			MemberOptions: func(i int, _ wire.NodeID) []core.SessionOption {
 				return []core.SessionOption{core.WithProviderBid(inst.Providers[i])}
 			},
@@ -437,7 +309,7 @@ func runHubFederated(specs []namedLane, shards, m, n, k, pipeline int, rounds, s
 			return err
 		}
 	}
-	fmt.Printf("marketd: federated hub demo — %d auctions over %d shards × %d providers, %d bidders, %d rounds each\n",
+	fmt.Printf("marketd: hub demo — %d auctions over %d shard(s) × %d providers, %d bidders, %d rounds each\n",
 		len(specs), shards, m, n, rounds)
 	if metricsAddr != "" {
 		stop, err := startExporter(metricsAddr, exporter{fed: fed.Stats})
@@ -519,8 +391,11 @@ func runHubFederated(specs []namedLane, shards, m, n, k, pipeline int, rounds, s
 	return nil
 }
 
-// printFederationStats renders the per-shard rollup table.
+// printFederationStats renders the per-auction table (as the first member
+// of each shard counts them) and the per-shard rollup table.
 func printFederationStats(snap federation.Snapshot) {
+	fmt.Print(metrics.Table(auctionHeader, auctionRows(snap.PerAuction)))
+
 	rows := make([]metrics.Row, 0, len(snap.PerShard)+1)
 	for _, ss := range snap.PerShard {
 		health := "ok"
@@ -559,16 +434,13 @@ func printFederationStats(snap federation.Snapshot) {
 	}
 }
 
-func laneOf(nl namedLane) uint32 {
-	if nl.lane != 0 {
-		return nl.lane
-	}
-	return market.LaneForName(nl.name)
-}
+// auctionHeader heads the per-auction tables.
+var auctionHeader = metrics.Row{Label: "auction", Cols: []string{"lane", "rounds", "ok", "⊥", "r/s", "admitted", "dropped", "queue"}}
 
-func printStats(snap market.Snapshot) {
-	rows := make([]metrics.Row, 0, len(snap.Auctions)+1)
-	for _, a := range snap.Auctions {
+// auctionRows renders one table row per auction.
+func auctionRows(auctions []market.AuctionSnapshot) []metrics.Row {
+	rows := make([]metrics.Row, 0, len(auctions)+1)
+	for _, a := range auctions {
 		rows = append(rows, metrics.Row{Label: a.Name, Cols: []string{
 			fmt.Sprintf("%d", a.Lane),
 			fmt.Sprintf("%d", a.Rounds),
@@ -580,7 +452,11 @@ func printStats(snap market.Snapshot) {
 			fmt.Sprintf("%d", a.QueueDepth),
 		}})
 	}
-	rows = append(rows, metrics.Row{Label: "TOTAL", Cols: []string{
+	return rows
+}
+
+func printStats(snap market.Snapshot) {
+	rows := append(auctionRows(snap.Auctions), metrics.Row{Label: "TOTAL", Cols: []string{
 		"-",
 		fmt.Sprintf("%d", snap.Rounds),
 		fmt.Sprintf("%d", snap.Accepted),
@@ -590,9 +466,7 @@ func printStats(snap market.Snapshot) {
 		fmt.Sprintf("%d", snap.BidsDropped),
 		fmt.Sprintf("%d", snap.QueueDepth),
 	}})
-	fmt.Print(metrics.Table(
-		metrics.Row{Label: "auction", Cols: []string{"lane", "rounds", "ok", "⊥", "r/s", "admitted", "dropped", "queue"}},
-		rows))
+	fmt.Print(metrics.Table(auctionHeader, rows))
 }
 
 // runTCP is one provider's market daemon over real sockets.
@@ -642,7 +516,7 @@ func runTCP(specs []namedLane, id uint32, listen, providersFlag, usersFlag strin
 			Name:    nl.name,
 			Lane:    nl.lane,
 			Users:   userIDs,
-			Options: sessionOpts(k, pipeline, rounds, bidWindow, roundTimeout, bid),
+			Options: append(sessionOpts(k, pipeline, rounds, bidWindow, roundTimeout), core.WithProviderBid(bid)),
 		})
 		if err != nil {
 			return err

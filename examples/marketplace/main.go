@@ -4,10 +4,12 @@
 // deployment runs many — here, three gateway operators jointly serve three
 // independent resource markets (uplink bandwidth, downlink bandwidth, and
 // an edge-compute spot market) as concurrent auctions multiplexed over ONE
-// network attachment per node. Each auction is its own session on its own
-// wire lane with its own cadence; the uplink market's outcomes are
-// enforced on real gateways and a shared credit ledger, and the market's
-// admission gate drops a flood of out-of-window bids at the door.
+// network attachment per node. The marketplace is a 1-shard federation:
+// one committee, the paper's simulated auctioneer, runs every auction.
+// Each auction is its own session on its own wire lane with its own
+// cadence; the uplink market's outcomes are enforced on real gateways and
+// a shared credit ledger, and the market's admission gate drops a flood of
+// out-of-window bids at the door.
 //
 //	go run ./examples/marketplace
 package main
@@ -28,6 +30,7 @@ func main() {
 	defer hub.Close()
 
 	providers := []distauction.NodeID{1, 2, 3}
+	shards := []distauction.ShardSpec{{Index: 1, Providers: providers}}
 	households := []distauction.NodeID{100, 101, 102, 103}
 	const rounds = 3
 
@@ -52,9 +55,9 @@ func main() {
 		Ledger: ledger, Gateways: gateways, Escrow: escrow, TTL: time.Hour,
 	}
 
-	// Every provider opens ONE market over ONE attachment and lists the
-	// same three auctions; only provider 1 — the gateway operator of this
-	// example — wires the uplink market to the enforcement target.
+	// One committee of three providers runs every auction, each provider
+	// over ONE attachment; provider 1 — the committee's first member and the
+	// gateway operator of this example — enforces the uplink market.
 	auctions := []struct {
 		name string
 		cost float64
@@ -63,48 +66,46 @@ func main() {
 		{"downlink", 0.15},
 		{"edge-compute", 0.40},
 	}
-	var markets []*distauction.Market
-	for pi, id := range providers {
-		conn, err := hub.Attach(id)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mk, err := distauction.OpenMarket(conn, providers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer mk.Close()
-		markets = append(markets, mk)
-		for _, a := range auctions {
-			spec := distauction.AuctionSpec{
-				Name:  a.name,
-				Users: households,
-				Options: []distauction.Option{
-					distauction.WithK(1),
-					distauction.WithMechanismName("double"),
-					distauction.WithBidWindow(10 * time.Second),
-					distauction.WithRoundTimeout(time.Minute),
-					distauction.WithRoundLimit(rounds),
-					distauction.WithOutcomeBuffer(rounds),
-					distauction.WithProviderBid(distauction.ProviderBid{
-						Cost:     distauction.Fx(a.cost * float64(pi+1)),
-						Capacity: distauction.Fx(8),
-					}),
-				},
-			}
-			if a.name == "uplink" && pi == 0 {
-				spec.Enforce = uplinkEnforce
-			}
-			if _, err := mk.OpenAuction(spec); err != nil {
-				log.Fatal(err)
-			}
-		}
-		fmt.Printf("provider %d: market open, catalog %v (lanes:", id, mk.Names())
-		for _, name := range mk.Names() {
-			fmt.Printf(" %d", distauction.LaneForName(name))
-		}
-		fmt.Println(")")
+	fed, err := distauction.OpenFederation(hub, shards)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer fed.Close()
+	for _, a := range auctions {
+		spec := distauction.FederatedAuctionSpec{
+			Name:  a.name,
+			Users: households,
+			Options: []distauction.Option{
+				distauction.WithK(1),
+				distauction.WithMechanismName("double"),
+				distauction.WithBidWindow(10 * time.Second),
+				distauction.WithRoundTimeout(time.Minute),
+				distauction.WithRoundLimit(rounds),
+				distauction.WithOutcomeBuffer(rounds),
+			},
+			MemberOptions: func(pi int, _ distauction.NodeID) []distauction.Option {
+				return []distauction.Option{distauction.WithProviderBid(distauction.ProviderBid{
+					Cost:     distauction.Fx(a.cost * float64(pi+1)),
+					Capacity: distauction.Fx(8),
+				})}
+			},
+		}
+		if a.name == "uplink" {
+			spec.Enforce = uplinkEnforce
+		}
+		if err := fed.OpenAuction(spec); err != nil {
+			log.Fatal(err)
+		}
+	}
+	fmt.Printf("committee %v: market open, catalog %v (lanes:", providers, fed.Names())
+	for _, name := range fed.Names() {
+		_, lane, err := fed.Place(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf(" %d", lane)
+	}
+	fmt.Println(")")
 
 	// Households join every market through one attachment each and bid
 	// per-market demand for every round up front.
@@ -119,7 +120,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mb, err := distauction.OpenMarketBidder(conn, providers)
+		mb, err := distauction.OpenFederationBidder(conn, shards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fb, err := distauction.OpenMarketBidder(flooder, providers)
+	fb, err := distauction.OpenFederationBidder(flooder, shards)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -185,13 +186,13 @@ func main() {
 
 	// Let provider 1's consumers finish enforcing, then report.
 	deadline := time.Now().Add(time.Minute)
-	for markets[0].Stats().Rounds < int64(len(auctions)*rounds) && time.Now().Before(deadline) {
+	for fed.Stats().Rounds < int64(len(auctions)*rounds) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	snap := markets[0].Stats()
+	snap := fed.Stats()
 	fmt.Println()
 	fmt.Printf("market totals: %d rounds (%d accepted, %d ⊥) across %d auctions, %.1f rounds/s aggregate\n",
-		snap.Rounds, snap.Accepted, snap.Aborted, snap.Open, snap.RoundsPerSec)
+		snap.Rounds, snap.Accepted, snap.Aborted, snap.Auctions, snap.RoundsPerSec)
 	fmt.Printf("admission: %d bids admitted, %d dropped (the flood)\n", snap.BidsAdmitted, snap.BidsDropped)
 	reserved := 0
 	for _, g := range gateways {

@@ -3,15 +3,20 @@ package distauction
 import (
 	"distauction/internal/core"
 	"distauction/internal/federation"
+	"distauction/internal/market"
 	"distauction/internal/transport"
 )
 
-// Sharded federation layer: the auction catalog partitioned across many
-// provider committees (shards) behind one market façade — many committees,
-// one market. Placement is deterministic (rendezvous hashing over the
-// active shard set), bidders keep one attachment across all shards, and
-// cross-shard settlement is atomic through the shared ledger. See
-// internal/federation and the "Sharded federation" section of DESIGN.md.
+// Marketplace layer: many named auctions — each its own Session with its
+// own mechanism, k, bid window and round cadence — multiplexed over ONE
+// shared transport attachment per node, with the catalog partitioned
+// across provider committees (shards) behind one façade. A 1-shard
+// federation is the unsharded market: one committee runs every auction.
+// Placement is deterministic (rendezvous hashing over the active shard
+// set), bidders keep one attachment across all shards, and cross-shard
+// settlement is atomic through the shared ledger. See internal/federation,
+// internal/market and the "Marketplace layer" and "Sharded federation"
+// sections of DESIGN.md.
 type (
 	// Federation is the federated marketplace façade: one catalog, one
 	// Stats rollup, many provider committees.
@@ -35,6 +40,24 @@ type (
 	FederationSnapshot = federation.Snapshot
 	// ShardSnapshot aggregates one shard's auctions.
 	ShardSnapshot = federation.ShardSnapshot
+	// MarketOption configures every per-node market of a federation (see
+	// WithFederationMarketOptions).
+	MarketOption = market.Option
+	// EnforceTarget wires an auction's accepted outcomes to gateways and a
+	// ledger (⊥ reserves and pays nothing).
+	EnforceTarget = market.EnforceTarget
+)
+
+// Marketplace errors, re-exported for errors.Is; federation calls return
+// them wrapped.
+var (
+	// ErrMarketClosed reports use of a closed per-node market or bidder.
+	ErrMarketClosed = market.ErrMarketClosed
+	// ErrUnknownAuction reports an operation on an auction that is not open.
+	ErrUnknownAuction = market.ErrUnknownAuction
+	// ErrLaneCollision reports two auction names of one shard deriving the
+	// same wire lane; pin FederatedAuctionSpec.LocalLane to resolve.
+	ErrLaneCollision = market.ErrLaneCollision
 )
 
 // Federation errors, re-exported for errors.Is.
@@ -52,8 +75,9 @@ var (
 const MaxShards = federation.MaxShards
 
 // OpenFederation starts a federated market over net with the given initial
-// shards: every committee node is attached and runs a Market; auctions
-// opened later place onto shards deterministically.
+// shards: every committee node is attached and runs a per-node market;
+// auctions opened later place onto shards deterministically. Pass one
+// shard for an unsharded marketplace.
 func OpenFederation(net transport.Network, shards []ShardSpec, opts ...FederationOption) (*Federation, error) {
 	return federation.Open(net, shards, opts...)
 }
@@ -73,7 +97,7 @@ func PlaceShardForName(name string, shards []int) int {
 }
 
 // ShardLaneForName is the shard-local lane an auction name derives by
-// default — the sharded generalisation of LaneForName.
+// default; exported so deployments can predict and audit lane usage.
 func ShardLaneForName(name string) uint32 { return federation.LocalLaneForName(name) }
 
 // WithFederationMarketOptions forwards options to every per-node market
@@ -89,3 +113,12 @@ func WithFederationOnOutcome(f func(auction string, shard int, out RoundOutcome)
 		f(name, shard, out)
 	})
 }
+
+// WithAdmissionWindow sets how many rounds ahead of the last completed
+// round bids are admitted (per auction; FederatedAuctionSpec can override).
+func WithAdmissionWindow(n int) MarketOption { return market.WithAdmissionWindow(n) }
+
+// WithSweepEvery sets the enforcement sweep cadence: every n completed
+// rounds of an enforced auction its gateways drop expired reservations
+// eagerly (0 disables).
+func WithSweepEvery(n int) MarketOption { return market.WithSweepEvery(n) }

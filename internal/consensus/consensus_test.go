@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"distauction/internal/auction"
 	"distauction/internal/commit"
 	"distauction/internal/deviation"
+	"distauction/internal/fixed"
 	"distauction/internal/proto"
 	"distauction/internal/transport"
 	"distauction/internal/wire"
@@ -85,6 +87,33 @@ func TestAgreementAndValidityUnanimous(t *testing.T) {
 		if !sameVectors(outs[i], input) {
 			t.Errorf("peer %d output %q, want the unanimous input", i, outs[i])
 		}
+	}
+}
+
+// Validity for bid agreement: a bidder that submitted the same bid to every
+// provider keeps exactly those bytes, and a bidder that never submitted
+// keeps an empty slot, which decodes to the neutral bid (the paper's b*ᵢ
+// substitution).
+func TestValidityMissingSlotStaysEmpty(t *testing.T) {
+	peers := newPeers(t, 3)
+	bid := auction.UserBid{Value: fixed.MustFloat(1.2), Demand: fixed.One}.Encode()
+	in := [][]byte{bid, nil}
+	outs, errs := proposeAll(t, peers, 1, [][][]byte{in, in, in})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("peer %d: %v", i, err)
+		}
+	}
+	for i := range outs {
+		if !bytes.Equal(outs[i][0], bid) {
+			t.Errorf("peer %d: consistent bid changed", i)
+		}
+		if len(outs[i][1]) != 0 {
+			t.Errorf("peer %d: missing bid should stay empty, got %q", i, outs[i][1])
+		}
+	}
+	if got := auction.SanitizeUserBid(outs[0][1]); !got.IsNeutral() {
+		t.Errorf("missing bid not neutralised: %+v", got)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 	"distauction/internal/allocator"
 	"distauction/internal/auction"
-	"distauction/internal/bidagree"
 	"distauction/internal/coin"
+	"distauction/internal/consensus"
 	"distauction/internal/proto"
 	"distauction/internal/taskgraph"
 	"distauction/internal/transport"
@@ -391,7 +391,8 @@ func (e *engine) finishRound(ctx context.Context, round uint64, inputs [][]byte)
 	if coins != nil {
 		onBound = coins.Release
 	}
-	agreed, err := bidagree.AgreeObserved(ctx, e.peer, round, inputs, onBound)
+	// One batched vector consensus per round, in consensus instance 0.
+	agreed, err := consensus.ProposeObserved(ctx, e.peer, round, 0, inputs, onBound)
 	if err != nil {
 		return e.deliverAbort(round, err)
 	}

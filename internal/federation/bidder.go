@@ -2,7 +2,6 @@ package federation
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"distauction/internal/core"
@@ -22,7 +21,6 @@ type Bidder struct {
 
 	mu         sync.Mutex
 	committees map[int][]wire.NodeID
-	joined     map[string]int // auction name → shard (for Leave bookkeeping)
 }
 
 // NewBidder wraps conn (the user's single attachment) for a federation
@@ -55,7 +53,6 @@ func NewBidder(conn transport.Conn, shards []ShardSpec) (*Bidder, error) {
 		inner:      inner,
 		router:     router,
 		committees: committees,
-		joined:     make(map[string]int),
 	}, nil
 }
 
@@ -113,40 +110,11 @@ func (b *Bidder) JoinOn(name string, shard int, local uint32, opts ...core.Sessi
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownShard, shard)
 	}
-	s, err := b.inner.JoinCommittee(name, WireLane(shard, local), committee, opts...)
-	if err != nil {
-		return nil, err
-	}
-	b.mu.Lock()
-	b.joined[name] = shard
-	b.mu.Unlock()
-	return s, nil
-}
-
-// Joined returns the names of currently joined auctions, sorted.
-func (b *Bidder) Joined() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.joined))
-	for name := range b.joined {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return b.inner.JoinCommittee(name, WireLane(shard, local), committee, opts...)
 }
 
 // Leave closes the named auction's session and frees its lane.
-func (b *Bidder) Leave(name string) error {
-	b.mu.Lock()
-	delete(b.joined, name)
-	b.mu.Unlock()
-	return b.inner.Leave(name)
-}
+func (b *Bidder) Leave(name string) error { return b.inner.Leave(name) }
 
 // Close leaves every auction and releases the shared connection.
-func (b *Bidder) Close() error {
-	b.mu.Lock()
-	b.joined = map[string]int{}
-	b.mu.Unlock()
-	return b.inner.Close()
-}
+func (b *Bidder) Close() error { return b.inner.Close() }

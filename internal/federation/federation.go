@@ -423,7 +423,9 @@ func (f *Market) claimAuction(name string) *placement {
 // its settle group.
 func (f *Market) finishClose(name string, pl *placement) {
 	if pl.group != "" {
-		f.settler.RemoveMember(pl.group, name)
+		if err := f.settler.RemoveMember(pl.group, name); err != nil {
+			f.settleErrs.Inc()
+		}
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -91,18 +91,68 @@ func (s *Settler) AddMember(group, auction string, target market.EnforceTarget, 
 }
 
 // RemoveMember drops an auction from its group (a drained or closed
-// auction stops gating the group's rounds).
-func (s *Settler) RemoveMember(group, auction string) {
+// auction stops gating the group's rounds). Outcomes it already reported
+// for pending rounds are pruned — the closed auction contributes nothing
+// to them — and any round that now holds every remaining member's outcome
+// settles here, since no further Observe would complete it.
+func (s *Settler) RemoveMember(group, auction string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	g := s.groups[group]
 	if g == nil {
-		return
+		s.mu.Unlock()
+		return nil
 	}
 	delete(g.members, auction)
 	if len(g.members) == 0 {
 		delete(s.groups, group)
+		s.mu.Unlock()
+		return nil
 	}
+	var ready []uint64
+	for round, p := range g.pending {
+		delete(p.outcomes, auction)
+		switch {
+		case len(p.outcomes) == 0:
+			delete(g.pending, round)
+		case len(p.outcomes) >= len(g.members):
+			ready = append(ready, round)
+		}
+	}
+	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+	batches := make([][]settleLeg, len(ready))
+	for i, round := range ready {
+		batches[i] = g.takeLocked(round)
+	}
+	s.mu.Unlock()
+	var errs []error
+	for i, round := range ready {
+		if err := s.settle(round, batches[i]); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// settleLeg is one member's non-⊥ outcome within a complete round.
+type settleLeg struct {
+	name   string
+	member *settleMember
+	out    core.RoundOutcome
+}
+
+// takeLocked removes a complete round from the pending set and returns its
+// non-⊥ legs. Caller holds s.mu.
+func (g *settleGroup) takeLocked(round uint64) []settleLeg {
+	p := g.pending[round]
+	delete(g.pending, round)
+	legs := make([]settleLeg, 0, len(p.outcomes))
+	for name, o := range p.outcomes {
+		if o.Err != nil {
+			continue // ⊥ pays nothing and reserves nothing
+		}
+		legs = append(legs, settleLeg{name, g.members[name], o})
+	}
+	return legs
 }
 
 // Observe feeds one auction's round outcome into its group. When the
@@ -129,48 +179,40 @@ func (s *Settler) Observe(group, auction string, out core.RoundOutcome) error {
 		s.mu.Unlock()
 		return nil
 	}
-	delete(g.pending, out.Round)
-	// Snapshot the members so the two-phase runs without the settler lock
+	// Snapshot the legs so the two-phase runs without the settler lock
 	// (ledger and gateways have their own locking).
-	type leg struct {
-		name   string
-		member *settleMember
-		out    core.RoundOutcome
-	}
-	legs := make([]leg, 0, len(p.outcomes))
-	for name, o := range p.outcomes {
-		if o.Err != nil {
-			continue // ⊥ pays nothing and reserves nothing
-		}
-		legs = append(legs, leg{name, g.members[name], o})
-	}
+	legs := g.takeLocked(out.Round)
 	s.mu.Unlock()
+	return s.settle(out.Round, legs)
+}
+
+// settle runs one complete round's two-phase settlement over its legs.
+func (s *Settler) settle(round uint64, legs []settleLeg) error {
 	if len(legs) == 0 {
 		return nil // the whole round was ⊥: nothing to settle
 	}
 	// Deterministic prepare order keeps runs reproducible and the journal
 	// stable for replay-equality assertions.
 	sort.Slice(legs, func(i, j int) bool { return legs[i].name < legs[j].name })
-
 	began := time.Now()
 	span := trace.Begin()
 	prepared := make([]*gateway.Prepared, 0, len(legs))
 	for _, l := range legs {
-		p, err := l.member.enforcer.Prepare(out.Round, l.out.Outcome, l.member.users, l.member.providers)
+		p, err := l.member.enforcer.Prepare(round, l.out.Outcome, l.member.users, l.member.providers)
 		if err != nil {
-			trace.Span(span, trace.PhaseSettleReserve, out.Round, 0, 0, trace.NoPeer, int32(len(prepared)))
+			trace.Span(span, trace.PhaseSettleReserve, round, 0, 0, trace.NoPeer, int32(len(prepared)))
 			span = trace.Begin()
 			for _, staged := range prepared {
 				_ = staged.Abort()
 			}
-			trace.Span(span, trace.PhaseSettleRelease, out.Round, 0, 0, trace.NoPeer, int32(len(prepared)))
+			trace.Span(span, trace.PhaseSettleRelease, round, 0, 0, trace.NoPeer, int32(len(prepared)))
 			s.aborts.Inc()
 			s.latency.RecordDuration(time.Since(began))
 			return err
 		}
 		prepared = append(prepared, p)
 	}
-	trace.Span(span, trace.PhaseSettleReserve, out.Round, 0, 0, trace.NoPeer, int32(len(prepared)))
+	trace.Span(span, trace.PhaseSettleReserve, round, 0, 0, trace.NoPeer, int32(len(prepared)))
 	span = trace.Begin()
 	var errs []error
 	for _, staged := range prepared {
@@ -178,7 +220,7 @@ func (s *Settler) Observe(group, auction string, out core.RoundOutcome) error {
 			errs = append(errs, err)
 		}
 	}
-	trace.Span(span, trace.PhaseSettleCommit, out.Round, 0, 0, trace.NoPeer, int32(len(prepared)))
+	trace.Span(span, trace.PhaseSettleCommit, round, 0, 0, trace.NoPeer, int32(len(prepared)))
 	s.latency.RecordDuration(time.Since(began))
 	if len(errs) > 0 {
 		return errors.Join(errs...)

@@ -212,6 +212,49 @@ func TestSettlerBotLegContributesNothing(t *testing.T) {
 	}
 }
 
+// TestSettlerRemoveMemberPrunesPendingRounds: closing an auction whose
+// outcome already sits in a pending round must neither dereference the
+// departed member when that round completes nor strand rounds it alone was
+// gating. Its reported outcomes are pruned; a round that removal completes
+// settles at once; later rounds settle over the remaining members.
+func TestSettlerRemoveMemberPrunesPendingRounds(t *testing.T) {
+	s, led, gwA, gwB := twoShardSettler(t, 100)
+	supply := led.TotalSupply()
+
+	if err := s.Observe("cross", "fed-a", core.RoundOutcome{Round: 1, Outcome: outcome1x1(2, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Observe("cross", "fed-b", core.RoundOutcome{Round: 2, Outcome: outcome1x1(3, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	// fed-a closes: its round-1 leg is pruned, and round 2, which waited
+	// only on fed-a, settles fed-b's leg now.
+	if err := s.RemoveMember("cross", "fed-a"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Commits() != 1 || gwB.Live() != 1 {
+		t.Fatalf("round completed by removal did not settle: commits=%d live=%d", s.Commits(), gwB.Live())
+	}
+	if err := s.Observe("cross", "fed-b", core.RoundOutcome{Round: 1, Outcome: outcome1x1(3, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Commits() != 2 || s.Aborts() != 0 {
+		t.Fatalf("commits=%d aborts=%d", s.Commits(), s.Aborts())
+	}
+	if got := led.Balance(1001); got != fixed.MustFloat(90) {
+		t.Fatalf("user balance = %v, want 90 (the pruned leg must not pay)", got)
+	}
+	if gwA.Live() != 0 || gwB.Live() != 2 {
+		t.Fatalf("reservations: A=%d B=%d", gwA.Live(), gwB.Live())
+	}
+	if got := led.TotalSupply(); got != supply {
+		t.Fatalf("supply changed: %v -> %v", supply, got)
+	}
+	if led.Holds() != 0 {
+		t.Fatalf("leaked holds: %d", led.Holds())
+	}
+}
+
 // TestSettlerConcurrentGroupsConserveSupply hammers one shared ledger from
 // many groups settling in parallel (run with -race): every round commits or
 // aborts whole, and total supply never drifts.

@@ -3,6 +3,7 @@ package federation
 import (
 	"sort"
 
+	"distauction/internal/market"
 	"distauction/internal/metrics"
 	"distauction/internal/proto"
 	"distauction/internal/transport"
@@ -113,6 +114,9 @@ type Snapshot struct {
 
 	PerShard []ShardSnapshot
 	PerNode  []NodeSnapshot
+	// PerAuction holds the rows the shard rollups sum — each shard's first
+	// member's per-auction counters — sorted by name.
+	PerAuction []market.AuctionSnapshot
 }
 
 // Stats returns the federation rollup. Per-shard aggregates come from each
@@ -163,6 +167,7 @@ func (f *Market) Stats() Snapshot {
 				if shard, _ := SplitLane(as.Lane); shard != ss.Shard {
 					continue // the node serves other shards over the same market
 				}
+				snap.PerAuction = append(snap.PerAuction, as)
 				ss.Auctions++
 				ss.Rounds += as.Rounds
 				ss.Accepted += as.Accepted
@@ -199,6 +204,7 @@ func (f *Market) Stats() Snapshot {
 		}
 	}
 	sort.Slice(snap.PerShard, func(i, j int) bool { return snap.PerShard[i].Shard < snap.PerShard[j].Shard })
+	sort.Slice(snap.PerAuction, func(i, j int) bool { return snap.PerAuction[i].Name < snap.PerAuction[j].Name })
 
 	for _, ref := range nodes {
 		ms := ref.n.market.Stats()

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"distauction/internal/auction"
 	"distauction/internal/core"
 	"distauction/internal/fixed"
 	"distauction/internal/gateway"
@@ -17,7 +16,6 @@ import (
 	"distauction/internal/transport"
 	"distauction/internal/transport/faultnet"
 	"distauction/internal/wire"
-	"distauction/internal/workload"
 )
 
 // ChaosConfig describes one chaos soak: a full marketplace run over the
@@ -25,7 +23,8 @@ import (
 // with frame drops and periodic connection kills injected underneath the
 // ARQ layer.
 type ChaosConfig struct {
-	// Auctions and Rounds shape the market exactly as in RunMarketDouble.
+	// Auctions and Rounds shape the market exactly as in RunFederationDouble
+	// with one shard.
 	Auctions int
 	Rounds   int
 	// Providers, Users, K configure the committee (defaults 3, 4, 1).
@@ -126,14 +125,11 @@ func RunMarketChaos(cfg ChaosConfig) (ChaosResult, error) {
 	window := cfg.Rounds + lookahead + 2
 	timeout := cfg.Timeout
 
-	names := make([]string, cfg.Auctions)
-	lanes := make([]uint32, cfg.Auctions)
-	insts := make([]workload.DoubleAuctionInstance, cfg.Auctions)
+	names := make([]string, cfg.Auctions) // auction j runs on lane j+1
 	for j := range names {
 		names[j] = fmt.Sprintf("chaos-%03d", j)
-		lanes[j] = uint32(j + 1)
-		insts[j] = workload.NewDoubleAuction(cfg.Seed+uint64(j)*104729, n, m)
 	}
+	w := newDoubleWorkload(cfg.Seed, cfg.Auctions, cfg.Rounds, n, m)
 
 	// Every committee member settles every auction into its own private
 	// ledger + gateway set, all identically funded: after the run the
@@ -208,7 +204,7 @@ func RunMarketChaos(cfg ChaosConfig) (ChaosResult, error) {
 		for j, name := range names {
 			_, err := mk.OpenAuction(market.AuctionSpec{
 				Name:  name,
-				Lane:  lanes[j],
+				Lane:  uint32(j + 1),
 				Users: userIDs,
 				Options: []core.SessionOption{
 					core.WithK(cfg.K),
@@ -217,7 +213,7 @@ func RunMarketChaos(cfg ChaosConfig) (ChaosResult, error) {
 					core.WithRoundTimeout(timeout),
 					core.WithRoundLimit(uint64(cfg.Rounds)),
 					core.WithMaxConcurrentRounds(pipeline),
-					core.WithProviderBid(insts[j].Providers[i]),
+					core.WithProviderBid(w.providers[j][i]),
 					core.WithOutcomeBuffer(cfg.Rounds),
 				},
 				Enforce: &market.EnforceTarget{
@@ -233,8 +229,7 @@ func RunMarketChaos(cfg ChaosConfig) (ChaosResult, error) {
 		}
 	}
 
-	bidders := make([]*market.Bidder, n)
-	sessions := make([][]*core.BidderSession, n)
+	sessions := make([][]*core.BidderSession, n) // [user][auction]
 	for i, id := range userIDs {
 		conn, err := net.Attach(id)
 		if err != nil {
@@ -245,10 +240,9 @@ func RunMarketChaos(cfg ChaosConfig) (ChaosResult, error) {
 			return ChaosResult{}, err
 		}
 		defer mb.Close()
-		bidders[i] = mb
 		sessions[i] = make([]*core.BidderSession, cfg.Auctions)
 		for j, name := range names {
-			s, err := mb.JoinLane(name, lanes[j],
+			s, err := mb.JoinLane(name, uint32(j+1),
 				core.WithRoundLimit(uint64(cfg.Rounds)),
 				core.WithOutcomeBuffer(pipeline+1),
 				core.WithRoundTimeout(timeout))
@@ -259,69 +253,18 @@ func RunMarketChaos(cfg ChaosConfig) (ChaosResult, error) {
 		}
 	}
 
-	roundBids := make([][][]auction.UserBid, cfg.Auctions)
-	for j := range roundBids {
-		roundBids[j] = make([][]auction.UserBid, cfg.Rounds)
-		for r := range roundBids[j] {
-			roundBids[j][r] = workload.NewDoubleAuction(cfg.Seed+uint64(j)*104729+uint64(r)*7919, n, m).Users
-		}
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, n*cfg.Auctions)
-	for i := range bidders {
-		for j := range names {
-			wg.Add(1)
-			go func(i, j int) {
-				defer wg.Done()
-				s := sessions[i][j]
-				slot := i*cfg.Auctions + j
-				for r := 1; r <= min(lookahead, cfg.Rounds); r++ {
-					if err := s.Submit(uint64(r), roundBids[j][r-1][i]); err != nil {
-						errs[slot] = err
-						return
-					}
-				}
-				seen := 0
-				for out := range s.Outcomes() {
-					seen++
-					if next := seen + lookahead; next <= cfg.Rounds {
-						if err := s.Submit(uint64(next), roundBids[j][next-1][i]); err != nil {
-							errs[slot] = err
-							return
-						}
-					}
-					_ = out
-				}
-				if seen != cfg.Rounds {
-					errs[slot] = fmt.Errorf("auction %d: saw %d of %d rounds", j, seen, cfg.Rounds)
-				}
-			}(i, j)
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for slot, err := range errs {
-		if err != nil {
-			return ChaosResult{}, fmt.Errorf("harness: chaos bidder %d: %w", slot/cfg.Auctions, err)
-		}
+	_, elapsed, err := runClosedLoop(sessions, w.bids, cfg.Rounds, lookahead)
+	if err != nil {
+		return ChaosResult{}, err
 	}
 
 	// Every committee member must finish consuming (and settling) every
 	// round before the journals are comparable.
-	deadline := time.Now().Add(timeout)
+	want := int64(cfg.Auctions * cfg.Rounds)
 	for i, mk := range markets {
-		for {
-			snap := mk.Stats()
-			if snap.Rounds >= int64(cfg.Auctions*cfg.Rounds) {
-				break
-			}
-			if time.Now().After(deadline) {
-				return ChaosResult{}, fmt.Errorf("harness: provider %d consumed %d of %d rounds before deadline",
-					i, mk.Stats().Rounds, cfg.Auctions*cfg.Rounds)
-			}
-			time.Sleep(time.Millisecond)
+		if !waitFor(timeout, func() bool { return mk.Stats().Rounds >= want }) {
+			return ChaosResult{}, fmt.Errorf("harness: provider %d consumed %d of %d rounds before deadline",
+				i, mk.Stats().Rounds, want)
 		}
 	}
 

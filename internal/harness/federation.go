@@ -3,38 +3,68 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
-	"distauction/internal/auction"
 	"distauction/internal/core"
 	"distauction/internal/federation"
 	"distauction/internal/market"
+	"distauction/internal/metrics"
+	"distauction/internal/proto"
 	"distauction/internal/wire"
-	"distauction/internal/workload"
 )
 
-// FederationResult summarises one sharded-federation throughput run.
+// FederationResult summarises one marketplace throughput run.
 type FederationResult struct {
-	MarketResult
 	// Shards is the number of provider committees the catalog was
-	// partitioned over (each with its own m-provider committee).
-	Shards int
+	// partitioned over; Auctions the number of concurrent auctions.
+	Shards   int
+	Auctions int
+	// Rounds counts rounds emitted across all auctions (Accepted the
+	// non-⊥ subset).
+	Rounds   int
+	Accepted int
+	// Duration runs from the first bid submission until every bidder holds
+	// every round's result of every auction it joined.
+	Duration time.Duration
+	// ResidualMsgs and ResidualRounds sum the buffered protocol state over
+	// every provider session of every auction after the run — flat in
+	// rounds, or per-round reclamation broke.
+	ResidualMsgs   int
+	ResidualRounds int
+	// BidsAdmitted and BidsDropped aggregate the admission gates across
+	// provider nodes; ParkedDropped their mux parking-overflow drops.
+	BidsAdmitted  int64
+	BidsDropped   int64
+	ParkedDropped int64
+	// FramesSent / SuperframesSent / EnvelopesSent aggregate the provider
+	// muxes' outbound coalescing counters; EnvelopesSent/FramesSent is the
+	// average batch occupancy.
+	FramesSent      int64
+	SuperframesSent int64
+	EnvelopesSent   int64
+	// Latency is the outcome-latency histogram (nanoseconds, bid collection
+	// through outcome delivery) merged across every shard's first member —
+	// each round counted once. AbortCodes breaks the ⊥ rounds down by typed
+	// cause (proto.AbortCode index).
+	Latency    metrics.HistogramSnapshot
+	AbortCodes [proto.NumAbortCodes]int64
 	// PerShard is the federation's shard rollup after the run.
 	PerShard []federation.ShardSnapshot
 }
 
-// RunFederationDouble measures aggregate throughput of a sharded
-// federation: `auctions` double auctions partitioned round-robin over
-// `shards` committees of m providers each (disjoint fleets — shards×m
-// provider nodes total), n bidders joined to every auction through ONE
-// federated bidder attachment each, every auction running `rounds`
-// pipelined rounds.
+// RunFederationDouble measures aggregate marketplace throughput:
+// `auctions` double auctions partitioned round-robin over `shards`
+// committees of m providers each (disjoint fleets — shards×m provider
+// nodes total), n bidders joined to every auction through ONE federated
+// bidder attachment each, every auction running `rounds` pipelined rounds.
+// Local lanes are pinned so generated names cannot collide.
 //
-// This is RunMarketDouble generalised from one committee to many: with one
-// shard it deploys the identical topology (m providers, same lanes 1..A),
-// so the 1-shard point doubles as the unsharded baseline, and the
-// shards-axis curve measures what federating the catalog buys.
+// One shard is the unsharded marketplace: one m-provider committee, every
+// auction multiplexed over one attachment per node. With a non-zero
+// latency model a single auction is latency-bound — its sequential
+// protocol hops leave the host idle — so aggregate rounds/s should grow
+// with the auction count until the CPU saturates; the shards axis then
+// measures what partitioning the catalog buys.
 func RunFederationDouble(shards, auctions, rounds int, opts ...Option) (FederationResult, error) {
 	cfg := newConfig(opts)
 	if shards < 1 || shards > federation.MaxShards {
@@ -60,7 +90,13 @@ func RunFederationDouble(shards, auctions, rounds int, opts ...Option) (Federati
 	}
 	_, userIDs := ids(cfg.m, cfg.n)
 
-	// Same admission skew bound as RunMarketDouble.
+	// A bidder may run ahead of the provider's admission window by its own
+	// lookahead plus however far the market's outcome consumer lags ordered
+	// emission — bounded by the session's outcome buffer (sized to `rounds`
+	// below so emission never blocks). Size the window to cover that whole
+	// skew: the bench asserts zero drops, and on a saturated host the
+	// consumer can lag many rounds while bidders keep receiving results
+	// straight off the wire.
 	lookahead := cfg.pipeline + 1
 	window := rounds + lookahead + 2
 
@@ -77,16 +113,13 @@ func RunFederationDouble(shards, auctions, rounds int, opts ...Option) (Federati
 	}
 	names := make([]string, auctions)
 	places := make([]place, auctions)
-	insts := make([]workload.DoubleAuctionInstance, auctions)
+	w := newDoubleWorkload(cfg.seed, auctions, rounds, cfg.n, cfg.m)
 	for j := range names {
 		names[j] = fmt.Sprintf("fed-%03d", j)
 		places[j] = place{shard: j%shards + 1, local: uint32(j/shards + 1)}
-		insts[j] = workload.NewDoubleAuction(cfg.seed+uint64(j)*104729, cfg.n, cfg.m)
-	}
-	for j, name := range names {
-		inst := insts[j]
+		provBids := w.providers[j]
 		err := fed.OpenAuction(federation.AuctionSpec{
-			Name:      name,
+			Name:      names[j],
 			Shard:     places[j].shard,
 			LocalLane: places[j].local,
 			Users:     userIDs,
@@ -100,7 +133,7 @@ func RunFederationDouble(shards, auctions, rounds int, opts ...Option) (Federati
 				core.WithOutcomeBuffer(rounds),
 			},
 			MemberOptions: func(i int, _ wire.NodeID) []core.SessionOption {
-				return []core.SessionOption{core.WithProviderBid(inst.Providers[i])}
+				return []core.SessionOption{core.WithProviderBid(provBids[i])}
 			},
 		})
 		if err != nil {
@@ -108,7 +141,6 @@ func RunFederationDouble(shards, auctions, rounds int, opts ...Option) (Federati
 		}
 	}
 
-	bidders := make([]*federation.Bidder, cfg.n)
 	sessions := make([][]*core.BidderSession, cfg.n) // [user][auction]
 	for i, id := range userIDs {
 		conn, err := net.Attach(id)
@@ -120,7 +152,6 @@ func RunFederationDouble(shards, auctions, rounds int, opts ...Option) (Federati
 			return FederationResult{}, err
 		}
 		defer fb.Close()
-		bidders[i] = fb
 		sessions[i] = make([]*core.BidderSession, auctions)
 		for j, name := range names {
 			s, err := fb.JoinOn(name, places[j].shard, places[j].local,
@@ -134,87 +165,33 @@ func RunFederationDouble(shards, auctions, rounds int, opts ...Option) (Federati
 		}
 	}
 
-	roundBids := make([][][]auction.UserBid, auctions) // [auction][round][user]
-	for j := range roundBids {
-		roundBids[j] = make([][]auction.UserBid, rounds)
-		for r := range roundBids[j] {
-			roundBids[j][r] = workload.NewDoubleAuction(cfg.seed+uint64(j)*104729+uint64(r)*7919, cfg.n, cfg.m).Users
-		}
+	accepted, elapsed, err := runClosedLoop(sessions, w.bids, rounds, lookahead)
+	if err != nil {
+		return FederationResult{}, err
 	}
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.n*auctions)
-	acceptedPerAuction := make([]int, auctions)
-	for i := range bidders {
-		for j := range names {
-			wg.Add(1)
-			go func(i, j int) {
-				defer wg.Done()
-				s := sessions[i][j]
-				slot := i*auctions + j
-				for r := 1; r <= min(lookahead, rounds); r++ {
-					if err := s.Submit(uint64(r), roundBids[j][r-1][i]); err != nil {
-						errs[slot] = err
-						return
-					}
-				}
-				seen, ok := 0, 0
-				for out := range s.Outcomes() {
-					seen++
-					if out.Err == nil {
-						ok++
-					}
-					if next := seen + lookahead; next <= rounds {
-						if err := s.Submit(uint64(next), roundBids[j][next-1][i]); err != nil {
-							errs[slot] = err
-							return
-						}
-					}
-				}
-				if seen != rounds {
-					errs[slot] = fmt.Errorf("auction %d: saw %d of %d rounds", j, seen, rounds)
-					return
-				}
-				if i == 0 {
-					acceptedPerAuction[j] = ok
-				}
-			}(i, j)
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for slot, err := range errs {
-		if err != nil {
-			return FederationResult{}, fmt.Errorf("harness: bidder %d: %w", slot/auctions, err)
-		}
-	}
-
-	res := FederationResult{
-		MarketResult: MarketResult{Auctions: auctions, Duration: elapsed},
-		Shards:       shards,
-	}
-	for _, n := range acceptedPerAuction {
-		res.Accepted += n
-	}
 	// Wait for every committee member's consumer to finish (each of the m
 	// members of an auction's shard counts its rounds), then read the
 	// rollup and the residual protocol state.
 	wantNodeRounds := int64(auctions * rounds * cfg.m)
-	deadline := time.Now().Add(cfg.timeout)
-	for {
+	waitFor(cfg.timeout, func() bool {
 		var nodeRounds int64
 		for _, ns := range fed.Stats().PerNode {
 			nodeRounds += ns.Rounds
 		}
-		if nodeRounds >= wantNodeRounds || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return nodeRounds >= wantNodeRounds
+	})
 	snap := fed.Stats()
-	res.Rounds = int(snap.Rounds)
-	res.PerShard = snap.PerShard
+	res := FederationResult{
+		Shards:     shards,
+		Auctions:   auctions,
+		Rounds:     int(snap.Rounds),
+		Accepted:   accepted,
+		Duration:   elapsed,
+		Latency:    snap.Latency,
+		AbortCodes: snap.AbortCodes,
+		PerShard:   snap.PerShard,
+	}
 	for _, ns := range snap.PerNode {
 		res.BidsAdmitted += ns.BidsAdmitted
 		res.BidsDropped += ns.BidsDropped

@@ -138,3 +138,36 @@ func TestLatencyShowsUpInMeasurement(t *testing.T) {
 		t.Errorf("latency not reflected: fast=%v slow=%v", fast.Duration, slow.Duration)
 	}
 }
+
+// The marketplace throughput run, unsharded (one committee) and
+// sharded: every round of every auction is accepted, the outcome-latency
+// histogram counts each round exactly once, and nothing is dropped or left
+// buffered.
+func TestFederationDoubleThroughput(t *testing.T) {
+	const auctions, rounds = 2, 5
+	for _, shards := range []int{1, 2} {
+		res, err := RunFederationDouble(shards, auctions, rounds,
+			WithProviders(3), WithUsers(4), WithK(1), WithSeed(5),
+			WithBidWindow(2*time.Second), WithPipelineDepth(2),
+		)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if res.Rounds != auctions*rounds || res.Accepted != auctions*rounds {
+			t.Errorf("shards=%d: rounds=%d accepted=%d, want %d/%d",
+				shards, res.Rounds, res.Accepted, auctions*rounds, auctions*rounds)
+		}
+		if res.Latency.Count != auctions*rounds {
+			t.Errorf("shards=%d: latency count %d, want %d", shards, res.Latency.Count, auctions*rounds)
+		}
+		if res.BidsDropped != 0 || res.ParkedDropped != 0 {
+			t.Errorf("shards=%d: dropped %d bids, %d parked envelopes", shards, res.BidsDropped, res.ParkedDropped)
+		}
+		if res.ResidualMsgs != 0 || res.ResidualRounds != 0 {
+			t.Errorf("shards=%d: residual state %d msgs, %d rounds", shards, res.ResidualMsgs, res.ResidualRounds)
+		}
+		if len(res.PerShard) != shards {
+			t.Errorf("shards=%d: rollup has %d shards", shards, len(res.PerShard))
+		}
+	}
+}

@@ -8,19 +8,19 @@ import (
 )
 
 // TestMarketFacadeEndToEnd drives the marketplace through the public
-// façade only: three providers each open a Market over a single hub
-// attachment, two auctions run concurrently, one bidder joins both, and
+// façade only: a 1-shard federation — three providers, one hub attachment
+// each — runs two auctions concurrently, every bidder joins both, and
 // every round of both auctions completes.
 func TestMarketFacadeEndToEnd(t *testing.T) {
 	const rounds = 2
 	hub := distauction.NewHub(distauction.LatencyModel{}, 1)
 	defer hub.Close()
 
-	providers := []distauction.NodeID{1, 2, 3}
+	shards := []distauction.ShardSpec{{Index: 1, Providers: []distauction.NodeID{1, 2, 3}}}
 	users := []distauction.NodeID{100, 101}
 
-	specFor := func(name string, cost, capacity float64) distauction.AuctionSpec {
-		return distauction.AuctionSpec{
+	specFor := func(name string, cost, capacity float64) distauction.FederatedAuctionSpec {
+		return distauction.FederatedAuctionSpec{
 			Name:  name,
 			Users: users,
 			Options: []distauction.Option{
@@ -38,26 +38,18 @@ func TestMarketFacadeEndToEnd(t *testing.T) {
 		}
 	}
 
-	var markets []*distauction.Market
-	for _, id := range providers {
-		conn, err := hub.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mk, err := distauction.OpenMarket(conn, providers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mk.Close()
-		if _, err := mk.OpenAuction(specFor("uplink", 1.0, 5)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mk.OpenAuction(specFor("downlink", 0.8, 8)); err != nil {
-			t.Fatal(err)
-		}
-		markets = append(markets, mk)
+	fed, err := distauction.OpenFederation(hub, shards)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := markets[0].Names(); len(got) != 2 || got[0] != "downlink" || got[1] != "uplink" {
+	defer fed.Close()
+	if err := fed.OpenAuction(specFor("uplink", 1.0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.OpenAuction(specFor("downlink", 0.8, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if got := fed.Names(); len(got) != 2 || got[0] != "downlink" || got[1] != "uplink" {
 		t.Fatalf("catalog: %v", got)
 	}
 
@@ -71,7 +63,7 @@ func TestMarketFacadeEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mb, err := distauction.OpenMarketBidder(conn, providers)
+		mb, err := distauction.OpenFederationBidder(conn, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +103,7 @@ func TestMarketFacadeEndToEnd(t *testing.T) {
 
 	deadline := time.Now().Add(time.Minute)
 	for {
-		snap := markets[0].Stats()
+		snap := fed.Stats()
 		if snap.Accepted == 2*rounds {
 			break
 		}
